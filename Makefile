@@ -3,12 +3,14 @@
 all:
 	dune build @all
 
-# fast correctness gate: typecheck everything, then the full test suite
+# fast correctness gate: typecheck everything, then the full test suite.
+# The suite runs under a 15-minute timeout so a hung run fails instead of
+# stalling the gate.
 smoke:
-	dune build @check && dune runtest
+	dune build @check && timeout 900 dune runtest
 
 test:
-	dune runtest
+	timeout 900 dune runtest
 
 bench:
 	dune exec bench/main.exe
@@ -76,7 +78,7 @@ bench-hetero-smoke:
 # cached-vs-uncached and replan bit-identity end to end, and that the
 # parallel search machinery costs at most 1.3x the sequential path)
 ci:
-	dune build @all && dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke
+	dune build @all && timeout 900 dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke
 
 clean:
 	dune clean

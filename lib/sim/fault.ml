@@ -138,32 +138,6 @@ let random_rescales rng ~n_resources ~horizon ~rate ~mean_duration ~factor =
     List.rev !out
   end
 
-let capacity c ~time ~resource =
-  List.fold_left
-    (fun cap o ->
-      if
-        o.resource = resource && time >= o.at -. 1e-12
-        && time < o.at +. o.duration -. 1e-12
-      then cap *. o.factor
-      else cap)
-    1. c.outages
-  |> Float.max 0.
-
-let next_capacity_change c ~after =
-  let pick acc t =
-    if t > after +. 1e-12 then
-      match acc with
-      | None -> Some t
-      | Some best -> Some (Float.min best t)
-    else acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc o -> List.fold_left pick acc [ o.at; o.at +. o.duration ])
-      None c.outages
-  in
-  List.fold_left (fun acc g -> pick acc g.g_at) acc c.grows
-
 let pp ppf c =
   Format.fprintf ppf
     "faults{seed=%d fail=%.3f(max %d) straggler=%.3f(x%.1f) outages=%d grows=%d}"

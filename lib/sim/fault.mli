@@ -107,14 +107,4 @@ val random_rescales :
 (** Like {!random_outages} but the windows are brownouts at the given
     remaining-capacity [factor] (strictly inside [(0, 1)]). *)
 
-val capacity : config -> time:float -> resource:int -> float
-(** Available capacity of [resource] at [time]: the product of the
-    factors of all outages covering [time] (clamped to [0]). [1.] when
-    no outage applies. *)
-
-val next_capacity_change : config -> after:float -> float option
-(** The earliest outage onset or expiry — or grow onset — strictly later
-    than [after]: the simulator's piecewise-constant capacity
-    boundaries. *)
-
 val pp : Format.formatter -> config -> unit

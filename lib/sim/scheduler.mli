@@ -2,8 +2,9 @@
 
     The single-query simulator ({!Simulator}) prices one plan against an
     idle machine; this module runs a {e workload} — jobs with arrival
-    instants drawn from a {!Workload.arrival} process — through the same
-    processor-sharing event loop, under a scheduling policy, and reports
+    instants drawn from a {!Workload.arrival} process — through the
+    simulator's own event loop (a simulation is its one-job case), under
+    a scheduling policy, and reports
     per-query response times plus workload-level statistics.  That makes
     the work-bound dual of the paper's §2 measurable: under contention,
     response time is governed by total work, so low-work plans beat
@@ -20,7 +21,10 @@
     [count * n_eligible] and multiplication by [1.0] is IEEE-exact.
     On every demanded resource the eligible class drains exactly at
     capacity, so per-resource busy time equals delivered work (busy
-    conservation) and utilization never exceeds 1. *)
+    conservation) and utilization never exceeds 1.  As in the
+    simulator, a demand counts as drained at one part in 1e12 of its
+    job's work (at least 1e-9), and stage lists are ordered by (time,
+    stage id). *)
 
 type policy =
   | Fair_share

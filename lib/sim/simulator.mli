@@ -3,23 +3,27 @@
 
     Resources are preemptable and time-shared (the paper's §5.2.1
     assumptions, realized as processor sharing): at any instant, each
-    resource divides its unit capacity equally among the tasks of running
+    resource divides its capacity equally among the tasks of running
     stages that still demand it; a task progresses on all its resources
     concurrently and finishes when every demand is exhausted; a stage
     finishes when all its tasks do, releasing dependent stages.  The
-    makespan is the simulated response time.
+    makespan is the simulated response time.  The sequential-execution
+    baseline of the §5 desiderata — one task at a time — takes exactly
+    {!Task_graph.total_work}.
 
-    [Serialized] mode executes stages and tasks one at a time — the
-    sequential-execution baseline of the §5 desiderata, whose makespan is
-    exactly the total work.
+    A run is the one-job case of the workload scheduler's event loop
+    ({!Scheduler.run}): the query arrives at time 0 on an otherwise idle
+    machine.  A demand counts as exhausted once it falls to
+    [max 1e-9 (1e-12 * total work)] of the graph being run — a fixed
+    tolerance could never be met once one ulp of the work exceeds it.
 
     With a {!Fault.config} the simulator injects fail-stop task faults,
     stragglers and resource outages from a deterministic seed-driven
     schedule, and recovers per the {!Recovery.policy}: a stage is a
     pipelined segment, its dependency edges are materialized sync points,
     so recovery re-executes the failed segment back to its nearest
-    checkpoint.  Without faults (or with an inactive config) behavior is
-    bit-identical to the failure-free simulator.
+    checkpoint.  Fault-free runs and runs under a config that never
+    fires are the same loop, so they agree bit for bit.
 
     Under the {!Recovery.Replan} policy a [replanner] callback can be
     supplied: when recovery crosses a sync point (a full-loss outage
@@ -30,8 +34,6 @@
     on it, on the same clock and busy counters.  When the callback
     declines (or none is given), [Replan] behaves exactly like
     [Restart_from_sync]. *)
-
-type mode = Concurrent | Serialized
 
 type event = {
   at : float;
@@ -108,7 +110,9 @@ type outcome = {
   stage_start : (int * float) list;
       (** first activation time per stage (restarts do not move it);
           stages of the {e final} graph when re-planning spliced one in *)
-  stage_finish : (int * float) list;  (** final completion time per stage *)
+  stage_finish : (int * float) list;
+      (** final completion time per stage; both stage lists are ordered
+          by (time, stage id) *)
   trace : event list;  (** chronological; includes fault events *)
   n_faults : int;
       (** injected faults: fail-stops + stragglers + outages; [0] without
@@ -120,21 +124,19 @@ type outcome = {
 }
 
 val run :
-  ?mode:mode -> ?faults:Fault.config -> ?recovery:Recovery.policy ->
-  ?replanner:replanner -> Task_graph.t -> outcome
-(** [mode] defaults to [Concurrent], [recovery] to {!Recovery.default}.
-    When [faults] is absent or inactive, the result is bit-identical to
-    the failure-free simulator (with the fault counters zero).
-    [replanner] is consulted only under the [Replan] policy in
-    [Concurrent] mode; in [Serialized] mode (no concurrent capacity to
-    re-balance) [Replan] behaves like [Restart_stage].  Raises
+  ?faults:Fault.config -> ?recovery:Recovery.policy -> ?replanner:replanner ->
+  Task_graph.t -> outcome
+(** [recovery] defaults to {!Recovery.default}.  Without [faults] (or
+    with a config that never fires) the fault counters are zero and the
+    result is bit-identical across those cases.  [replanner] is
+    consulted only under the [Replan] policy.  Raises
     {!Parqo_util.Parqo_error.Error} on an invalid graph or fault config
     (task-graph validation per {!Task_graph.validate} also covers every
     spliced residual graph), and when every remaining demand sits on a
     permanently lost resource. *)
 
 val simulate_plan :
-  ?mode:mode -> ?faults:Fault.config -> ?recovery:Recovery.policy ->
+  ?faults:Fault.config -> ?recovery:Recovery.policy ->
   Parqo_cost.Env.t -> Parqo_plan.Join_tree.t -> outcome
 (** Expand, lower and simulate a join tree in one call. *)
 

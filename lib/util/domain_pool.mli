@@ -71,7 +71,12 @@ val run_ranged : t -> tasks:int -> (worker:int -> lo:int -> hi:int -> unit) -> i
     [job] must be safe to call from any domain and must not assume any
     execution order.  If a chunk raises, claiming stops and the first
     exception is re-raised after all workers have parked — the pool
-    remains usable.  Raises [Invalid_argument] on [tasks < 0], on a pool
+    remains usable.  The pool cannot release locks it does not own: a
+    [job] that raises while holding a caller-owned lock strands every
+    other lane that waits for that lock, so the region never reaches
+    its barrier and deadlocks.  Release such locks before raising (or
+    record the failure and raise after the region).  Raises
+    [Invalid_argument] on [tasks < 0], on a pool
     already shut down, and on overlapping regions (one pool runs one
     region at a time). *)
 

@@ -117,6 +117,41 @@ let zero_rate_identity () =
         "stage_finish" plain.Sim.stage_finish o.Sim.stage_finish)
     [ None; Some F.none; Some (F.default ~fault_rate:0. ()) ]
 
+(* a fault stream that can never fire — one outage of factor 1, far past
+   any makespan — must not perturb a single bit of the fault-free run:
+   the same loop, tolerance and stage-list order serve both *)
+let inert_stream_identity () =
+  let inert =
+    {
+      F.none with
+      F.outages = [ { F.resource = 0; at = 1e300; duration = 1.; factor = 1. } ];
+    }
+  in
+  let bits = Int64.bits_of_float in
+  let stages l = List.map (fun (id, t) -> (id, bits t)) l in
+  let trace (o : Sim.outcome) =
+    List.map (fun (e : Sim.event) -> (bits e.Sim.at, e.Sim.what)) o.Sim.trace
+  in
+  let rng = Parqo.Rng.create 20261013 in
+  for case = 1 to 200 do
+    let n = 3 + Parqo.Rng.int rng 4 in
+    let env = Helpers.random_env rng ~n in
+    let tree = Helpers.random_tree rng env in
+    let clean = Sim.simulate_plan env tree in
+    let o = Sim.simulate_plan ~faults:inert env tree in
+    let ctx what = Printf.sprintf "plan %d: %s" case what in
+    Alcotest.(check int64) (ctx "makespan") (bits clean.Sim.makespan)
+      (bits o.Sim.makespan);
+    Alcotest.(check (array int64)) (ctx "busy")
+      (Array.map bits clean.Sim.busy) (Array.map bits o.Sim.busy);
+    Alcotest.(check (list (pair int int64))) (ctx "stage_start")
+      (stages clean.Sim.stage_start) (stages o.Sim.stage_start);
+    Alcotest.(check (list (pair int int64))) (ctx "stage_finish")
+      (stages clean.Sim.stage_finish) (stages o.Sim.stage_finish);
+    Alcotest.(check (list (pair int64 string))) (ctx "trace") (trace clean)
+      (trace o)
+  done
+
 (* recovery can only cost time: recovered makespan dominates the
    failure-free makespan for every policy, on randomized graphs *)
 let recovery_dominates_failure_free () =
@@ -199,17 +234,6 @@ let checkpoint_loss_cascades () =
   Helpers.check_float "checkpoint lost, re-executed" 16. lose.Sim.makespan;
   Alcotest.(check bool) "re-execution recorded" true
     (lose.Sim.n_retries > keep.Sim.n_retries)
-
-(* serialized mode injects the same fault process *)
-let serialized_faults () =
-  let fc = F.default ~seed:11 ~fault_rate:0.5 () in
-  let clean = Sim.run ~mode:Sim.Serialized (chain_graph ()) in
-  let a = Sim.run ~mode:Sim.Serialized ~faults:fc (chain_graph ()) in
-  let b = Sim.run ~mode:Sim.Serialized ~faults:fc (chain_graph ()) in
-  Helpers.check_float "deterministic" a.Sim.makespan b.Sim.makespan;
-  Alcotest.(check bool) "faults observed" true (a.Sim.n_faults > 0);
-  Alcotest.(check bool) "at least total work" true
-    (a.Sim.makespan +. 1e-9 >= clean.Sim.makespan)
 
 (* invalid configs are rejected with a structured error *)
 let invalid_config_rejected () =
@@ -298,7 +322,10 @@ let hetero_fault_config () =
         (o.F.resource >= 0 && o.F.resource < 3);
       Helpers.check_float "brownout factor" 0.3 o.F.factor)
     a;
-  (* next_capacity_change walks outage onsets, expiries and grow onsets *)
+  (* capacity is piecewise constant between the window's boundaries: a
+     4-unit task drains 2 units by the onset at t = 2, 1.5 more at half
+     speed until the expiry at t = 5, and its last 0.5 by t = 5.5; a
+     resource that grows in at t = 7 shows in the busy vector *)
   let fc =
     {
       F.none with
@@ -306,19 +333,9 @@ let hetero_fault_config () =
       grows = [ grow 7. 2. ];
     }
   in
-  let next after =
-    match F.next_capacity_change fc ~after with
-    | Some t -> t
-    | None -> Alcotest.fail "expected a boundary"
-  in
-  Helpers.check_float "onset" 2. (next 0.);
-  Helpers.check_float "expiry" 5. (next 2.);
-  Helpers.check_float "grow onset" 7. (next 5.);
-  Alcotest.(check bool) "nothing after the last boundary" true
-    (F.next_capacity_change fc ~after:7. = None);
-  (* capacity reads the brownout window *)
-  Helpers.check_float "inside the window" 0.5 (F.capacity fc ~time:3. ~resource:0);
-  Helpers.check_float "outside the window" 1. (F.capacity fc ~time:6. ~resource:0)
+  let o = Sim.run ~faults:fc (graph ~n_resources:1 [ ([ [| 4. |] ], []) ]) in
+  Helpers.check_float "onset and expiry bound the brownout" 5.5 o.Sim.makespan;
+  Alcotest.(check int) "grown dimension tracked" 2 (Array.length o.Sim.busy)
 
 let suite =
   ( "fault injection",
@@ -326,11 +343,11 @@ let suite =
       t "determinism" determinism;
       t "draw purity" draw_purity;
       t "zero-rate identity" zero_rate_identity;
+      t "inert fault stream identity" inert_stream_identity;
       t "recovery dominates failure-free" recovery_dominates_failure_free;
       t "forced failures" forced_failures;
       t "outage delays" outage_delays;
       t "checkpoint loss cascades" checkpoint_loss_cascades;
-      t "serialized faults" serialized_faults;
       t "invalid config rejected" invalid_config_rejected;
       t "plan-level faults" plan_level_faults;
       t "heterogeneous fault config" hetero_fault_config;
